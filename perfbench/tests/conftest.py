@@ -1,0 +1,7 @@
+"""Import the program from ``src/`` and the benchmark from the repo root."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]

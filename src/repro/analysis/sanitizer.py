@@ -264,7 +264,6 @@ def default_audits() -> List[Audit]:
     from the source — ``tests/analysis/test_sanitizer.py`` cross-checks
     the two so they cannot drift apart.
     """
-    from repro.core.shard.executor import ShardedEngine
     from repro.obs.hdr import HdrHistogram
     from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.obs.quality import StreamingQualityEvaluator
@@ -316,7 +315,6 @@ def default_audits() -> List[Audit]:
         ),
         audit(DecayedEmbeddingStore, "_lock", {"_current"}),
         audit(DecayedSnapshot, "_lock", {"_cache"}),
-        audit(ShardedEngine, "_pool_lock", {"_pool"}),
         audit(
             TopKIndex,
             "_lock",
@@ -357,7 +355,7 @@ def default_audits() -> List[Audit]:
                 "_clock", "_update_in_flight", "_updates_applied",
                 "_resilience_suspended", "_consecutive_update_failures",
                 "_breaker_open", "_breaker_cooldown", "_read_only",
-                "_user_activity", "_shard_pool",
+                "_user_activity",
             },
         ),
         audit(

@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import SUPAConfig
-from repro.core.engine.engine import ENGINE_NAMES
+from repro.core.config import ENGINE_NAMES, SUPAConfig
 from repro.utils.timer import Timer
 
 #: The default synthetic-zoo measurement set.
@@ -103,13 +102,11 @@ def measure_train_throughput(
     loss arrays must be bitwise equal — a speedup measured against a
     numerically different computation would be meaningless.
     """
-    # Explicitly the reference-vs-batched pair (not ENGINE_NAMES: the
-    # sharded engine has its own protocol in bench_ablation_sharding).
     results = {
         name: measure_engine(
             dataset, name, warm_history, batch_size, passes, repeats, seed, config
         )
-        for name in ("reference", "batched")
+        for name in ENGINE_NAMES
     }
     ref = results["reference"]
     bat = results["batched"]

@@ -29,6 +29,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import ENGINE_NAMES
 from repro.core.engine import kernels
 from repro.core.engine.plan import compile_plan
 from repro.core.interactor import interaction_loss, interaction_loss_backward
@@ -39,12 +40,6 @@ from repro.graph.streams import StreamEdge
 from repro.obs.trace import NULL_TRACER
 
 _Record = Tuple[StreamEdge, float, float]
-
-#: Engine names accepted by ``SUPAConfig.engine``.  ``"sharded"``
-#: (``repro.core.shard``) shares the batched compile step and executes
-#: plans as conflict-free rounds on a worker pool.
-ENGINE_NAMES = ("reference", "batched", "sharded")
-
 
 class _EngineBase:
     """Shared wiring: an engine executes gradient steps for its model."""
@@ -449,10 +444,4 @@ def make_engine(name: str, model) -> _EngineBase:
         return BatchedEngine(model)
     if name == "reference":
         return ReferenceEngine(model)
-    if name == "sharded":
-        # Imported lazily: the shard executor subclasses BatchedEngine,
-        # so a top-level import would be circular.
-        from repro.core.shard.executor import ShardedEngine
-
-        return ShardedEngine(model)
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")

@@ -89,14 +89,14 @@ class BatchPlan(NamedTuple):
 
 
 def plan_edge_costs(plan: BatchPlan) -> np.ndarray:
-    """Relative execution cost of each plan edge, for shard balancing.
+    """Relative execution cost of each plan edge, for chunk balancing.
 
-    The batched executor's per-edge work is one target forward/backward
+    The batched engine's per-edge work is one target forward/backward
     plus one kernel call per surviving hop slice, negative slice and
     context-update row, so hop + negative + unique-context counts plus a
-    constant base approximate it well enough to cut worker chunks of
-    near-equal wall time (``repro.core.shard.schedule``).  Units are
-    arbitrary; only ratios matter.
+    constant base approximate it well enough to cut chunks of near-equal
+    wall time (``repro.core.shard.schedule``).  Units are arbitrary;
+    only ratios matter.
     """
     steps = np.diff(plan.step_offsets).astype(np.float64)
     negs = np.diff(plan.neg_offsets).astype(np.float64)

@@ -1,24 +1,17 @@
-"""Shard-parallel execution: conflict-group scheduling for SUPA updates.
+"""Conflict-group scheduling for SUPA's localized updates.
 
 Section IV-H: "To deal with larger dynamic graphs, one can use multiple
 GPUs to train SUPA since the update procedure of SUPA is localized."
-This package is the CPU-side realisation of that claim (DESIGN.md §14):
+This package keeps the analysable half of that claim (DESIGN.md §14):
 
-* :mod:`repro.core.shard.estimate` — the planning utilities that used to
-  live in ``repro.core.sharding``: greedy conflict-free round partition
-  over :class:`~repro.graph.streams.StreamEdge` lists and the analytical
-  speedup bound.
+* :mod:`repro.core.shard.estimate` — greedy conflict-free round
+  partition over :class:`~repro.graph.streams.StreamEdge` lists and the
+  analytical speedup bound.
 * :mod:`repro.core.shard.schedule` — the same greedy partition over a
   compiled :class:`~repro.core.engine.plan.BatchPlan`'s index arrays,
-  plus cost-balanced chunking onto workers and contended-context-row
-  detection for the deterministic barrier merge.
-* :mod:`repro.core.shard.tasks` — the self-contained per-chunk work unit
-  (:class:`ChunkTask`) and the pure worker function
-  (:func:`execute_chunk`) that computes gradient bundles without ever
-  touching shared optimiser state.
-* :mod:`repro.core.shard.executor` — :class:`ShardedEngine`, the third
-  ``SUPAConfig.engine``: coordinator-side compile + schedule, worker-side
-  bundle computation, deterministic fused applies at each round barrier.
+  plus cost-balanced chunking and contended-context-row detection.
+
+Nothing here executes updates: training runs on the batched engine.
 """
 
 from repro.core.shard.estimate import (
@@ -27,17 +20,12 @@ from repro.core.shard.estimate import (
     shard_statistics,
 )
 from repro.core.shard.schedule import RoundPlan, ShardSchedule, build_schedule
-from repro.core.shard.tasks import ChunkResult, ChunkTask, execute_chunk, make_chunk_task
 
 __all__ = [
-    "ChunkResult",
-    "ChunkTask",
     "RoundPlan",
     "ShardSchedule",
     "build_schedule",
     "estimate_parallel_speedup",
-    "execute_chunk",
-    "make_chunk_task",
     "partition_conflict_free_rounds",
     "shard_statistics",
 ]

@@ -12,12 +12,9 @@ interval-free conflict structure is optimal round-minimising for each
 prefix.
 
 These functions plan over :class:`~repro.graph.streams.StreamEdge`
-objects; the execution-side twin that plans over compiled
+objects; the twin that plans over compiled
 :class:`~repro.core.engine.plan.BatchPlan` index arrays lives in
-:mod:`repro.core.shard.schedule`, and the engine that actually runs the
-rounds in parallel is :class:`repro.core.shard.executor.ShardedEngine`.
-(Until PR 8 this module was ``repro.core.sharding``, which remains as a
-deprecation re-export shim.)
+:mod:`repro.core.shard.schedule`.
 """
 
 from __future__ import annotations

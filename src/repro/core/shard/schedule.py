@@ -1,23 +1,18 @@
-"""Plan-level conflict-group scheduling for the sharded engine.
+"""Plan-level conflict-group scheduling.
 
-This is the execution-side twin of :mod:`repro.core.shard.estimate`: the
-same greedy earliest-round partition, but over a compiled
+This is the twin of :mod:`repro.core.shard.estimate`: the same greedy
+earliest-round partition, but over a compiled
 :class:`~repro.core.engine.plan.BatchPlan`'s ``uv`` index array instead
-of :class:`~repro.graph.streams.StreamEdge` objects, plus everything the
-barrier merge in :class:`~repro.core.shard.executor.ShardedEngine` needs
-precomputed:
+of :class:`~repro.graph.streams.StreamEdge` objects, plus:
 
-* cost-balanced contiguous worker chunks per round (so stragglers don't
-  dominate the round barrier),
+* cost-balanced contiguous worker chunks per round, cut from
+  :func:`~repro.core.engine.plan.plan_edge_costs`,
 * the round's concatenated per-edge unique context-row catalogue with a
   *contended* mask — context rows shared by two or more edges of the
-  same round must be applied per edge, in edge order, to keep the merge
-  deterministic (DESIGN.md §14), while the rest fuse into one optimiser
-  call.
+  same round, whose updates do not commute.
 
-Everything here is a pure function of the plan and the worker count —
-never of which worker ultimately runs a chunk — which is what makes the
-sharded engine bitwise invariant across worker counts.
+Everything here is a pure function of the plan, the worker count and
+the chunk floor.
 """
 
 from __future__ import annotations
@@ -80,7 +75,7 @@ def _partition_round_indices(uv: np.ndarray) -> List[List[int]]:
 
     Identical algorithm to
     :func:`repro.core.shard.estimate.partition_conflict_free_rounds`,
-    returning edge *indices* so the executor can slice plan arrays.
+    returning edge *indices* so callers can slice plan arrays.
     """
     rounds: List[List[int]] = []
     round_touched: List[set] = []

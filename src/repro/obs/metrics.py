@@ -1,8 +1,7 @@
 """The shared, thread-safe metrics registry.
 
-Grown out of the serving layer's process-local registry
-(:mod:`repro.serve.metrics` is now a thin re-export of this module) so
-the trainer, the execution engines, sampling and the serving stack all
+Grown out of the serving layer's process-local registry so the
+trainer, the execution engines, sampling and the serving stack all
 report into one instrument namespace.  Three instrument kinds cover
 everything the system reports:
 
@@ -25,11 +24,11 @@ everything the system reports:
   answered from them instead of the reservoir.
 
 Every mutating operation is lock-guarded — registry get-or-create and
-instrument observe/inc/set — so an ingestion worker thread and sharded
-serving loops can share one registry without lost updates.  The
-registry renders to plain dictionaries / JSON so replay drivers and
-benchmarks persist snapshots next to their tables; Prometheus text and
-JSONL exposition live in :mod:`repro.obs.export`.
+instrument observe/inc/set — so an ingestion worker thread, the
+dispatcher and query threads can share one registry without lost
+updates.  The registry renders to plain dictionaries / JSON so replay
+drivers and benchmarks persist snapshots next to their tables;
+Prometheus text and JSONL exposition live in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations

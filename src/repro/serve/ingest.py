@@ -37,11 +37,7 @@ reconciliation against the WAL's decision ledger.
 
 Dispatch itself stays strictly serial — one micro-batch at a time, in
 cut order, under the queue lock — because InsLearn's replay/RNG
-contract is sequential over batches.  Shard parallelism (DESIGN.md §14)
-lives *inside* the handler: the sharded engine fans one batch's plan
-out over conflict-free rounds, and the service stripes the post-update
-embedding recompute across its shard pool, both merging
-deterministically before the handler returns.
+contract is sequential over batches.
 
 For durability, a ``journal`` hook receives every queue *decision*
 (``accept`` / ``evict`` / ``batch``) **before** the matching state

@@ -28,10 +28,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer, make_tracer
 from repro.serve.admission import (
     SHEDDING,
@@ -49,7 +49,6 @@ from repro.serve.admission import (
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, EventQueue
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.store import DecayedEmbeddingStore, VersionedEmbeddingStore
 
 
@@ -73,11 +72,6 @@ class ServeConfig:
     store_block_size: int = 256  # rows per copy-on-write block
     compact_every: int = 64  # defragment the store every N publishes; 0 = never
     score_block: int = 512  # candidate rows per scoring matmul
-    #: Worker threads for the sharded update loop: touched-row Eq. 14
-    #: recomputes are striped across this many workers and merged into
-    #: one atomic snapshot (``publish_parts``).  1 keeps publishing
-    #: in-line on the update thread.
-    shard_workers: int = 1
     read_only: bool = False  # reject ingest (replica mode); reads still served
     # --- resilience (repro.resilience); all off by default -----------------
     wal_path: Optional[str] = None  # journal accepted events/batches here
@@ -157,10 +151,6 @@ class ServeConfig:
             raise ValueError(
                 "breaker_cooldown_events must be >= 1, got "
                 f"{self.breaker_cooldown_events}"
-            )
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
             )
         if self.warm_users < 0:
             raise ValueError(
@@ -298,8 +288,6 @@ class RecommendationService:
             "recovery.replayed_events",
             "breaker.opened",
             "cache.warmed",
-            "shard.rounds",
-            "shard.publish.parts",
             "ingest.offered",
             "ingest.shed",
             "admission.admitted",
@@ -315,7 +303,6 @@ class RecommendationService:
             "store.version",
             "staleness.events_behind",
             "breaker.state",
-            "shard.imbalance",
             "admission.state",
             "queue.depth_fraction",
         ):
@@ -333,12 +320,11 @@ class RecommendationService:
             self.metrics.histogram(name, hdr=True)
         # Guards the service's scalar runtime state (_clock,
         # _update_in_flight, _updates_applied, breaker fields,
-        # _resilience_suspended, _read_only, _user_activity,
-        # _shard_pool).  Leaf-like by contract: never call into the
-        # queue, store, index or metrics while holding it — it ranks
-        # between the queue lock and the store lock in the hierarchy
-        # (DESIGN.md §12) only because update dispatch runs under the
-        # queue lock.
+        # _resilience_suspended, _read_only, _user_activity).  Leaf-like
+        # by contract: never call into the queue, store, index or
+        # metrics while holding it — it ranks between the queue lock and
+        # the store lock in the hierarchy (DESIGN.md §12) only because
+        # update dispatch runs under the queue lock.
         self._state_lock = threading.Lock()
         self._sleep = self.config.sleep_fn if self.config.sleep_fn else time.sleep
         self._stage_clock = self.config.clock_fn
@@ -352,10 +338,6 @@ class RecommendationService:
         self._updates_applied = 0
         self._read_only = bool(self.config.read_only)
         self._user_activity: Dict[int, int] = {}
-        # Lazy worker pool for the sharded update loop (created on the
-        # first striped publish; the handle is used outside the lock —
-        # executors are thread-safe).
-        self._shard_pool: Optional[ThreadPoolExecutor] = None
         # --- resilience wiring (function-level imports keep repro.serve
         # importable on its own and avoid a serve <-> resilience cycle)
         self.wal = None
@@ -706,7 +688,6 @@ class RecommendationService:
             self.metrics.counter("cache.evictions").set(self.index.evictions)
             self.metrics.counter("store.compactions").set(self.store.compactions)
             self.metrics.gauge("store.version").set(snapshot.version)
-            self._record_shard_stats()
             self._record_activity(batch)
             self.warm_cache()
             self._maybe_checkpoint()
@@ -730,10 +711,9 @@ class RecommendationService:
                 if self._decay_serving:
                     snapshot = self._publish_components(rows, clock)
                 else:
-                    parts = self._embedding_parts(rows, clock)
-                    snapshot = self.store.publish_parts(parts)
-                    if len(parts) > 1:
-                        self.metrics.counter("shard.publish.parts").inc(len(parts))
+                    snapshot = self.store.publish(
+                        rows, self.model.final_embeddings(rows, self.edge_type, clock)
+                    )
             if self._decay_serving:
                 # The clock advance moved every decayed embedding, so
                 # every cached answer is potentially stale — same
@@ -761,53 +741,6 @@ class RecommendationService:
             alpha=memory.alpha,
             clock=clock,
         )
-
-    def _ensure_shard_pool(self) -> ThreadPoolExecutor:
-        with self._state_lock:
-            pool = self._shard_pool
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=self.config.shard_workers,
-                    thread_name_prefix="repro-serve-shard",
-                )
-                self._shard_pool = pool
-        return pool
-
-    def _embedding_parts(
-        self, rows: np.ndarray, clock: float
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Eq. 14 rows for a dense publish, striped across the shard pool.
-
-        Stripes come from ``np.array_split`` over the sorted touched-row
-        list and merge back in stripe order, so the published values are
-        bitwise identical to a single-threaded recompute regardless of
-        ``shard_workers`` or pool scheduling (``final_embeddings`` is a
-        pure row-wise read of model state).
-        """
-        workers = self.config.shard_workers
-        if workers <= 1 or rows.size < 2 * workers:
-            return [(rows, self.model.final_embeddings(rows, self.edge_type, clock))]
-        stripes = [s for s in np.array_split(rows, workers) if s.size]
-        pool = self._ensure_shard_pool()
-        futures = [
-            pool.submit(self.model.final_embeddings, s, self.edge_type, clock)
-            for s in stripes
-        ]
-        return [(s, f.result()) for s, f in zip(stripes, futures)]
-
-    def _record_shard_stats(self) -> None:
-        """Mirror a sharded engine's scheduling counters into metrics.
-
-        No-op for the reference/batched engines: only
-        :class:`~repro.core.shard.executor.ShardedEngine` exposes
-        ``last_shard_stats``.
-        """
-        engine = self.model.engine
-        stats = getattr(engine, "last_shard_stats", None)
-        if stats is None:
-            return
-        self.metrics.counter("shard.rounds").set(engine.total_rounds)
-        self.metrics.gauge("shard.imbalance").set(float(stats["imbalance"]))
 
     def _register_update_failure(self, batch: EdgeStream, exc: Exception) -> None:
         """Deadletter a failed batch; trip the breaker at the threshold."""
@@ -1053,21 +986,13 @@ class RecommendationService:
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread
         (joined after draining ready batches — quiescence contract,
-        DESIGN.md §16), the serve-side shard pool, a sharded engine's
-        worker pool, and the WAL file handle (a crashed process releases
-        these for free; tests and drivers call it before recovering).
+        DESIGN.md §16) and the WAL file handle (a crashed process
+        releases these for free; tests and drivers call it before
+        recovering).
         A partial trailing micro-batch stays buffered; call ``flush()``
         first when the run must quiesce completely."""
         if self.dispatcher is not None:
             self.dispatcher.close()
-        with self._state_lock:
-            pool = self._shard_pool
-            self._shard_pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        engine_close = getattr(self.model.engine, "close", None)
-        if engine_close is not None:
-            engine_close()
         if self.wal is not None:
             self.wal.close()
 

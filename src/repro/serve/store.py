@@ -191,29 +191,6 @@ class VersionedEmbeddingStore:
                 new = self._compact_locked()
             return new
 
-    def publish_parts(
-        self, parts: Sequence[Tuple[np.ndarray, np.ndarray]]
-    ) -> Snapshot:
-        """Publish several ``(rows, values)`` stripes as ONE snapshot.
-
-        The sharded serve path computes disjoint row stripes on a worker
-        pool; they land here in *stripe order* (a pure function of the
-        sorted touched-row list, never of which worker finished first),
-        and are concatenated into a single atomic :meth:`publish` — so a
-        striped publish is bitwise identical to the unsharded one and
-        readers never observe a partially published update.
-        """
-        if not parts:
-            return self.publish(
-                np.empty(0, dtype=np.int64), np.empty((0, self.dim), dtype=np.float64)
-            )
-        rows = np.concatenate([np.asarray(r, dtype=np.int64) for r, _ in parts])
-        values = np.concatenate(
-            [np.asarray(v, dtype=np.float64).reshape(-1, self.dim) for _, v in parts],
-            axis=0,
-        )
-        return self.publish(rows, values)
-
     def _compact_locked(self) -> Snapshot:
         """Rebuild the current snapshot over one contiguous buffer.
 

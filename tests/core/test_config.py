@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.config import SUPAConfig, g_decay, g_decay_derivative, tau_from_g
+from repro.core.config import (
+    ENGINE_NAMES,
+    SUPAConfig,
+    g_decay,
+    g_decay_derivative,
+    tau_from_g,
+)
 
 
 class TestDecayFunction:
@@ -67,3 +73,17 @@ class TestConfig:
     def test_all_losses_off_rejected(self):
         with pytest.raises(ValueError, match="at least one loss"):
             SUPAConfig(use_inter=False, use_prop=False, use_neg=False)
+
+    def test_removed_sharded_engine_rejected(self):
+        with pytest.raises(ValueError) as info:
+            SUPAConfig(engine="sharded")
+        message = str(info.value)
+        assert "'reference'" in message and "'batched'" in message
+        assert "'sharded'" in message  # names the rejected value
+
+    def test_engine_names_defined_once(self):
+        from repro.core.engine import benchmark, engine
+
+        assert ENGINE_NAMES == ("reference", "batched")
+        assert engine.ENGINE_NAMES is ENGINE_NAMES
+        assert benchmark.ENGINE_NAMES is ENGINE_NAMES

@@ -113,86 +113,6 @@ def test_batched_engine_is_run_deterministic():
         assert a.mean_loss == b.mean_loss
 
 
-# ------------------------------------------------- sharded engine invariance
-#
-# The sharded engine is NOT bitwise-equal to the batched engine on rows
-# several edges of one round share (alpha slots, colliding context rows)
-# — round-snapshot semantics, documented in DESIGN.md §14.  What it does
-# guarantee bitwise is (a) worker-count invariance: schedule and merge
-# order are pure functions of the plan, so any ``shard_workers`` and any
-# backend produce identical bytes; and (b) an identical RNG stream to
-# the batched engine, because compilation (all sampling) stays on the
-# coordinator.
-
-
-def _train_sharded(config_overrides):
-    config = SUPAConfig(
-        seed=7, engine="sharded", shard_min_chunk=2, **config_overrides
-    )
-    model, reports = _train(config)
-    model.engine.close()
-    return model, reports
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {"use_forgetting": False},
-        {"use_short_term": False},
-        {"num_walks": 0},
-        {"num_negatives": 0},
-        {"walk_length": 5, "num_walks": 6},
-    ],
-    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "full",
-)
-def test_sharded_worker_count_invariance(overrides):
-    """1, 2 and 4 workers: byte-identical state, reports and RNG."""
-    base_model, base_reports = _train_sharded({"shard_workers": 1, **overrides})
-    for workers in (2, 4):
-        model, reports = _train_sharded({"shard_workers": workers, **overrides})
-        assert _state_bytes(base_model) == _state_bytes(model)
-        for a, b in zip(base_reports, reports):
-            assert a.mean_loss == b.mean_loss
-            assert a.best_score == b.best_score
-            assert a.touched_nodes == b.touched_nodes
-        assert (
-            base_model.rng.bit_generator.state == model.rng.bit_generator.state
-        )
-
-
-def test_sharded_backends_agree_bitwise():
-    """thread == serial == process pools, byte for byte: results merge
-    in schedule order, never in completion order."""
-    runs = {
-        backend: _train_sharded({"shard_workers": 2, "shard_backend": backend})
-        for backend in ("thread", "serial", "process")
-    }
-    thread_model, thread_reports = runs["thread"]
-    for backend in ("serial", "process"):
-        model, reports = runs[backend]
-        assert _state_bytes(thread_model) == _state_bytes(model)
-        for a, b in zip(thread_reports, reports):
-            assert a.mean_loss == b.mean_loss
-            assert a.touched_nodes == b.touched_nodes
-
-
-def test_sharded_rng_stream_matches_batched():
-    """Sampling happens at compile time on the coordinator, so the
-    sharded engine consumes exactly the batched engine's draw sequence
-    — replayability does not depend on the engine choice."""
-    batched_model, batched_reports = _train(SUPAConfig(seed=7, engine="batched"))
-    sharded_model, sharded_reports = _train_sharded({"shard_workers": 4})
-    assert (
-        batched_model.rng.bit_generator.state
-        == sharded_model.rng.bit_generator.state
-    )
-    # identical sampling also means identical touched-node sets, even
-    # though shared-row float values may differ (round-snapshot merge)
-    for bat, shd in zip(batched_reports, sharded_reports):
-        assert bat.touched_nodes == shd.touched_nodes
-
-
 # ------------------------------------------------------------ tracing parity
 
 

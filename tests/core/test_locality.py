@@ -64,8 +64,8 @@ class TestLocality:
 
     def test_disjoint_updates_commute(self, dataset):
         """Two steps touching disjoint node sets give the same memory
-        whichever order they run in — the property that makes sharded
-        (multi-worker) training safe."""
+        whichever order they run in — the property behind §IV-H's claim
+        that localized updates can train in parallel."""
         e1 = dataset.stream[200]
         # find a later edge with completely different endpoints
         e2 = next(

@@ -1,16 +1,14 @@
 """Tests for the plan-level shard scheduler (``repro.core.shard.schedule``).
 
 The scheduler is a pure function of the compiled plan, the worker count
-and ``min_chunk`` — these tests pin the properties the sharded engine's
-correctness rests on: conflict-free (endpoint-disjoint) rounds that
-agree with the legacy :func:`partition_conflict_free_rounds` partition,
+and ``min_chunk`` — these tests pin its properties: conflict-free
+(endpoint-disjoint) rounds that agree with the
+:func:`partition_conflict_free_rounds` partition,
 cost-balanced chunk bounds that tile each round exactly, a contended
 context-row mask that marks precisely the rows shared across edges of
 one round, and worker-count independence of the round structure.
 """
 
-import importlib
-import sys
 import types
 
 import numpy as np
@@ -263,19 +261,3 @@ class TestBuildSchedule:
             plan.num_edges / len(legacy)
         )
         assert schedule.stats["imbalance"] >= 1.0 - 1e-12
-
-
-# ------------------------------------------------------------ legacy shim
-
-
-def test_sharding_module_is_a_deprecated_alias():
-    sys.modules.pop("repro.core.sharding", None)
-    with pytest.warns(DeprecationWarning, match="repro.core.shard"):
-        legacy = importlib.import_module("repro.core.sharding")
-    import repro.core.shard.estimate as estimate
-
-    assert legacy.partition_conflict_free_rounds is (
-        estimate.partition_conflict_free_rounds
-    )
-    assert legacy.estimate_parallel_speedup is estimate.estimate_parallel_speedup
-    assert legacy.shard_statistics is estimate.shard_statistics

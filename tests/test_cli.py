@@ -391,7 +391,7 @@ class TestObsWatch:
         assert args.watch_interval == 0.5
         assert "ingest.accepted" in args.watch_metrics
 
-    def test_watch_prints_delta_rows(self, capsys):
+    def test_watch_prints_delta_rows(self, tmp_path, capsys):
         code = main(
             [
                 "obs",
@@ -407,6 +407,8 @@ class TestObsWatch:
                 "--watch-metrics",
                 "ingest.accepted",
                 "updates.applied",
+                "--output-dir",
+                str(tmp_path),
             ]
         )
         out = capsys.readouterr().out
@@ -416,6 +418,9 @@ class TestObsWatch:
         assert "ingest.accepted=" in out and "updates.applied=" in out
         # the usual telemetry story still follows the watch stream
         assert "span tree" in out
+        # the exports land in the given directory, not the checked-in one
+        assert (tmp_path / "obs_metrics.prom").is_file()
+        assert (tmp_path / "obs_telemetry.jsonl").is_file()
 
 
 class TestLoadtest:

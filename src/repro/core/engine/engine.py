@@ -25,6 +25,7 @@ cross-edge fusion would change the semantics, not just the speed).
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -42,12 +43,24 @@ from repro.obs.trace import NULL_TRACER
 _Record = Tuple[StreamEdge, float, float]
 
 class _EngineBase:
-    """Shared wiring: an engine executes gradient steps for its model."""
+    """Shared wiring: an engine executes gradient steps for its model.
+
+    The model owns its engine (``SUPA.engine``); the engine refers back
+    through a weak reference so the pair forms no reference cycle and a
+    dropped model is freed at once, without waiting for a gc pass.
+    """
 
     name = ""
 
     def __init__(self, model) -> None:
-        self.model = model
+        self._model = weakref.ref(model)
+
+    @property
+    def model(self):
+        model = self._model()
+        if model is None:
+            raise ReferenceError("the engine's model no longer exists")
+        return model
 
     def train_step(
         self, u: int, v: int, edge_type: str, t: float, delta_u: float, delta_v: float
@@ -189,12 +202,13 @@ class ReferenceEngine(_EngineBase):
         return float(sum(components.values()))
 
     def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
+        model = self.model
         losses = np.empty(len(records), dtype=np.float64)
         touched: set = set()
         for i, (e, du, dv) in enumerate(records):
             losses[i] = self.train_step(e.u, e.v, e.edge_type, e.t, du, dv)
-            touched.update(self.model.last_touched_nodes)
-        self.model.last_touched_nodes = tuple(sorted(touched))
+            touched.update(model.last_touched_nodes)
+        model.last_touched_nodes = tuple(sorted(touched))
         return losses
 
 

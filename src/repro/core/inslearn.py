@@ -12,7 +12,7 @@ platform while it learns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -161,6 +161,9 @@ class InsLearnTrainer:
         #: sorted touched-node tuple of the most recent
         #: :meth:`train_one_batch`.
         self.last_touched_nodes: Tuple[int, ...] = ()
+        # The best-validated state of the current batch: allocated on
+        # first use, then copied into, so a batch allocates no state.
+        self._best_state: Optional[Dict[str, object]] = None
 
     def rng_state(self):
         """JSON-serialisable snapshot of the validation RNG.
@@ -175,6 +178,9 @@ class InsLearnTrainer:
     def set_rng_state(self, state) -> None:
         """Restore a snapshot captured by :meth:`rng_state`."""
         self._rng.bit_generator.state = state
+
+    def _save_best_state(self) -> None:
+        self._best_state = self.model.state_dict(out=self._best_state)
 
     def fit(self, stream: EdgeStream) -> TrainingReport:
         """Train the model on ``stream`` batch by batch (single pass)."""
@@ -203,7 +209,9 @@ class InsLearnTrainer:
                 records = _record_and_observe(self.model, list(train))
 
             best_score = 0.0
-            best_state = self.model.state_dict()
+            if len(valid):
+                # only a batch with a validation tail restores its best state
+                self._save_best_state()
             patience_used = 0
             losses: List[float] = []
             iterations_run = 0
@@ -222,7 +230,7 @@ class InsLearnTrainer:
                         )
                     if score > best_score:
                         best_score = score
-                        best_state = self.model.state_dict()
+                        self._save_best_state()
                         patience_used = 0
                     else:
                         patience_used += 1
@@ -232,7 +240,7 @@ class InsLearnTrainer:
             with tracer.span("core.inslearn.restore"):
                 if len(valid):
                     # Line 20: carry the best-validated parameters forward.
-                    self.model.load_state_dict(best_state)
+                    self.model.load_state_dict(self._best_state)
                 # Validation edges join the graph before the next batch
                 # arrives.
                 _record_and_observe(self.model, list(valid))

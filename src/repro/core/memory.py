@@ -17,6 +17,28 @@ import numpy as np
 
 from repro.utils.rng import RngLike, new_rng
 
+StateDict = Dict[str, np.ndarray]
+
+
+def _copy_state(arrays: StateDict, out: Optional[StateDict] = None) -> StateDict:
+    """Copies of ``arrays``: fresh ones, or written into ``out``.
+
+    ``out`` is a dict from an earlier call with the same keys and
+    shapes; filling it reuses its arrays, so a caller that snapshots the
+    state repeatedly (InsLearn's best state, the service's checkpoints)
+    allocates it once instead of on every call.
+    """
+    if out is None:
+        return {name: array.copy() for name, array in arrays.items()}
+    for name, array in arrays.items():
+        target = out[name]
+        if target.shape != array.shape:
+            raise ValueError(
+                f"shape mismatch for {name}: {target.shape} vs {array.shape}"
+            )
+        np.copyto(target, array)
+    return out
+
 
 class SparseAdam:
     """Adam over selected rows of a 2-D parameter array.
@@ -90,12 +112,10 @@ class SparseAdam:
         v_hat = v / self._corr2[t][:, None]
         self.param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {
-            "m": self._m.copy(),
-            "v": self._v.copy(),
-            "steps": self._steps.copy(),
-        }
+    def state_dict(self, out: Optional[StateDict] = None) -> StateDict:
+        """Copies of the moments and step counts (into ``out`` when
+        given; see :func:`_copy_state`)."""
+        return _copy_state({"m": self._m, "v": self._v, "steps": self._steps}, out)
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         self._m[...] = state["m"]
@@ -161,13 +181,16 @@ class NodeMemory:
         ids = np.asarray(node_type_ids, dtype=np.int64)
         return ids if self.typed_alpha else np.zeros(ids.shape, dtype=np.int64)
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {
-            "long": self.long.copy(),
-            "short": self.short.copy(),
-            "context": self.context.copy(),
-            "alpha": self.alpha.copy(),
+    def state_dict(self, out: Optional[StateDict] = None) -> StateDict:
+        """Copies of the four arrays (into ``out`` when given; see
+        :func:`_copy_state`)."""
+        arrays = {
+            "long": self.long,
+            "short": self.short,
+            "context": self.context,
+            "alpha": self.alpha,
         }
+        return _copy_state(arrays, out)
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         for name in ("long", "short", "context", "alpha"):
@@ -220,43 +243,16 @@ class MemoryOptimizer:
             grads = np.asarray([alpha_grads[r] for r in rows])[:, None]
             self.alpha.update_rows(rows, grads)
 
-    def step_arrays(
-        self,
-        long_rows: np.ndarray,
-        long_grads: np.ndarray,
-        short_rows: Optional[np.ndarray],
-        short_grads: Optional[np.ndarray],
-        context_rows: np.ndarray,
-        context_grads: np.ndarray,
-        alpha_rows: Optional[np.ndarray],
-        alpha_grads: Optional[np.ndarray],
-    ) -> None:
-        """Array-native :meth:`step` for the batched execution engine.
-
-        Each ``*_rows`` array must already hold unique rows with
-        duplicate contributions pre-accumulated (see
-        :func:`repro.core.engine.kernels.accumulate_rows`); ``None``
-        pairs skip that parameter entirely — an applied zero gradient
-        would still advance Adam's moments, so "no gradient" and
-        "zero gradient" must stay distinguishable here exactly as they
-        are in the dict-based path.
-        """
-        if long_rows.size:
-            self.long.update_rows(long_rows, long_grads)
-        if short_rows is not None and short_rows.size:
-            self.short.update_rows(short_rows, short_grads)
-        if context_rows.size:
-            self.context.update_rows(context_rows, context_grads)
-        if alpha_rows is not None and alpha_rows.size:
-            self.alpha.update_rows(alpha_rows, alpha_grads)
-
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {
-            "long": self.long.state_dict(),
-            "short": self.short.state_dict(),
-            "context": self.context.state_dict(),
-            "alpha": self.alpha.state_dict(),
-        }
+    def state_dict(
+        self, out: Optional[Dict[str, StateDict]] = None
+    ) -> Dict[str, StateDict]:
+        """Copies of every Adam state (into ``out`` when given)."""
+        names = ("long", "short", "context", "alpha")
+        if out is None:
+            return {name: getattr(self, name).state_dict() for name in names}
+        for name in names:
+            getattr(self, name).state_dict(out[name])
+        return out
 
     def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
         self.long.load_state_dict(state["long"])

@@ -229,12 +229,21 @@ class SUPA:
 
     # ------------------------------------------------------------- checkpoints
 
-    def state_dict(self) -> Dict[str, object]:
-        """Learnable state (memories + optimiser moments), not the graph."""
-        return {
-            "memory": self.memory.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-        }
+    def state_dict(self, out: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+        """Learnable state (memories + optimiser moments), not the graph.
+
+        Returns fresh copies, or with ``out`` (a dict an earlier call
+        returned) copies into its arrays and returns it, so a caller
+        that snapshots the state repeatedly allocates it only once.
+        """
+        if out is None:
+            return {
+                "memory": self.memory.state_dict(),
+                "optimizer": self.optimizer.state_dict(),
+            }
+        self.memory.state_dict(out["memory"])
+        self.optimizer.state_dict(out["optimizer"])
+        return out
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         self.memory.load_state_dict(state["memory"])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 class TTestResult(NamedTuple):
@@ -47,6 +46,10 @@ def paired_t_test(
         raise ValueError("paired test needs at least two queries")
     if np.allclose(a, b):
         return TTestResult(statistic=0.0, p_value=1.0, mean_difference=0.0)
+    # Imported here, not at module top: serving processes import
+    # repro.eval (via repro.datasets) and must not pay for scipy.stats.
+    from scipy import stats
+
     stat, p = stats.ttest_rel(a, b)
     return TTestResult(
         statistic=float(stat),

@@ -33,7 +33,7 @@ import os
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,13 +88,17 @@ def _unflatten(flat: Dict[str, np.ndarray]) -> Dict[str, object]:
     return nested
 
 
-def serialize(ckpt: Checkpoint) -> bytes:
-    """Header line + npz payload; inverse of :func:`deserialize`."""
+def _encode(ckpt: Checkpoint) -> Tuple[bytes, memoryview]:
+    """The header line (newline included) and a view of the npz payload.
+
+    The payload is viewed in place (``getbuffer``), not copied, so a
+    save holds one encoded copy of the state at a time.
+    """
     flat: Dict[str, np.ndarray] = {}
     _flatten(ckpt.model_state, "", flat)
     buffer = io.BytesIO()
     np.savez(buffer, **flat)
-    payload = buffer.getvalue()
+    payload = buffer.getbuffer()
     meta = {
         "format": FORMAT_VERSION,
         "seq": int(ckpt.seq),
@@ -115,7 +119,13 @@ def serialize(ckpt: Checkpoint) -> bytes:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return header.encode("utf-8") + b"\n" + payload
+    return header.encode("utf-8") + b"\n", payload
+
+
+def serialize(ckpt: Checkpoint) -> bytes:
+    """Header line + npz payload; inverse of :func:`deserialize`."""
+    header, payload = _encode(ckpt)
+    return header + payload
 
 
 def deserialize(data: bytes) -> Checkpoint:
@@ -203,12 +213,17 @@ class CheckpointManager:
         return [os.path.join(self.directory, name) for name in names]
 
     def save(self, ckpt: Checkpoint) -> str:
-        """Atomically persist ``ckpt``; prunes past ``retain``; returns path."""
-        data = serialize(ckpt)
+        """Atomically persist ``ckpt``; prunes past ``retain``; returns path.
+
+        Writes exactly :func:`serialize`'s bytes, header and payload
+        separately so they are never concatenated in memory.
+        """
+        header, payload = _encode(ckpt)
         final = os.path.join(self.directory, f"ckpt-{ckpt.seq:012d}{self.SUFFIX}")
         tmp = final + ".tmp"
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.write(header)
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)

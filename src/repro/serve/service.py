@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -196,6 +197,26 @@ class QueryResult:
     snapshot_version: int = -1
 
 
+def _weakly_bound(method: Callable) -> Callable:
+    """``method`` as a plain callable holding its instance weakly.
+
+    The service hands callbacks to components it owns (the queue's
+    handler, validator and journal; the dispatcher's ``on_error``).  A
+    bound method would point back at the service and close a reference
+    cycle, so a closed and dropped service would stay resident until
+    the next full gc pass; the weak binding lets it be freed at once.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        bound = ref()
+        if bound is None:
+            raise ReferenceError("the service owning this callback no longer exists")
+        return bound(*args)
+
+    return call
+
+
 class RecommendationService:
     """Serve top-K recommendations while learning from the event stream.
 
@@ -355,6 +376,8 @@ class RecommendationService:
                 metrics=self.metrics,
                 segment_bytes=self.config.wal_segment_bytes,
             )
+        # the model-state buffer checkpoint() copies into (first use)
+        self._checkpoint_state: Optional[Dict[str, object]] = None
         if self.config.checkpoint_dir is not None:
             from repro.resilience.checkpoint import CheckpointManager
 
@@ -402,16 +425,18 @@ class RecommendationService:
             ttl_seconds=self.config.cache_ttl_seconds,
             max_bytes=self.config.cache_max_bytes,
         )
+        # Callbacks are weakly bound: nothing the service owns refers
+        # back to it, so close() plus dropping the service frees it.
         self.queue = EventQueue(
-            handler=self._apply_batch,
+            handler=_weakly_bound(self._apply_batch),
             batch_size=self.config.batch_size,
             capacity=self.config.capacity,
-            validator=self._validate_event,
+            validator=_weakly_bound(self._validate_event),
             overflow=self.config.overflow,
             late_tolerance=self.config.late_tolerance,
             # Always installed: the hook no-ops without a WAL, which
             # lets attach_durability() start journaling post-promotion.
-            journal=self._journal_decision,
+            journal=_weakly_bound(self._journal_decision),
             defer_dispatch=self.config.async_dispatch,
         )
         # --- admission control + async dispatch (DESIGN.md §16) ----------
@@ -426,7 +451,7 @@ class RecommendationService:
             DispatchWorker(
                 self.queue,
                 poll_seconds=self.config.dispatch_poll_seconds,
-                on_error=self._register_dispatch_failure,
+                on_error=_weakly_bound(self._register_dispatch_failure),
             )
             if self.config.async_dispatch
             else None
@@ -930,6 +955,11 @@ class RecommendationService:
         ``None`` when no ``checkpoint_dir`` is configured.  The snapshot
         is keyed to the WAL position (``wal.last_seq``) so recovery can
         replay exactly the suffix this checkpoint has not seen.
+
+        The model state is copied into one buffer reused across
+        checkpoints, so call this from the update path (where
+        ``checkpoint_every`` does) or on a quiesced service, never from
+        two threads at once.
         """
         if self.checkpoints is None:
             return None
@@ -938,12 +968,13 @@ class RecommendationService:
         with self._state_lock:
             updates_applied = self._updates_applied
             clock = self._clock
+        self._checkpoint_state = self.model.state_dict(out=self._checkpoint_state)
         ckpt = Checkpoint(
             seq=self.wal.last_seq if self.wal is not None else 0,
             updates_applied=updates_applied,
             clock=clock,
             residue=list(self.queue.buffered()),
-            model_state=self.model.state_dict(),
+            model_state=self._checkpoint_state,
             model_rng_state=self.model.rng.bit_generator.state,
             trainer_rng_state=self.trainer.rng_state(),
             num_nodes=self.dataset.num_nodes,

@@ -79,12 +79,7 @@ class Snapshot:
 
     def rows(self, indices: Sequence[int]) -> np.ndarray:
         """Gather ``indices`` into a fresh ``(len(indices), dim)`` array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty((indices.size, self.dim), dtype=np.float64)
-        blocks, offsets = np.divmod(indices, self._block_size)
-        for i in range(indices.size):
-            out[i] = self._blocks[blocks[i]][offsets[i]]
-        return out
+        return _gather(self, indices)
 
     def matrix(self) -> np.ndarray:
         """The full matrix as one fresh (writable) array — test helper."""
@@ -96,6 +91,28 @@ class Snapshot:
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _gather(snapshot, indices: Sequence[int]) -> np.ndarray:
+    """``snapshot``'s rows ``indices`` as one fresh array, in order.
+
+    Gathers once per touched block (``snapshot.block(i)``) rather than
+    once per row; every id must lie in ``[0, num_rows)``.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.empty((indices.size, snapshot.dim), dtype=np.float64)
+    if not indices.size:
+        return out
+    if indices.min() < 0 or indices.max() >= snapshot.num_rows:
+        raise IndexError(f"row index outside store of {snapshot.num_rows} rows")
+    block_ids, offsets = np.divmod(indices, snapshot._block_size)
+    order = np.argsort(block_ids, kind="stable")
+    sorted_ids = block_ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    for start, stop in zip(starts, np.append(starts[1:], indices.size)):
+        positions = order[start:stop]
+        out[positions] = snapshot.block(int(sorted_ids[start]))[offsets[positions]]
+    return out
 
 
 class VersionedEmbeddingStore:
@@ -306,12 +323,7 @@ class DecayedSnapshot:
 
     def rows(self, indices: Sequence[int]) -> np.ndarray:
         """Gather ``indices`` into a fresh ``(len(indices), dim)`` array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty((indices.size, self.dim), dtype=np.float64)
-        blocks, offsets = np.divmod(indices, self._block_size)
-        for i in range(indices.size):
-            out[i] = self.block(int(blocks[i]))[offsets[i]]
-        return out
+        return _gather(self, indices)
 
     def matrix(self) -> np.ndarray:
         """The full decayed matrix as one fresh array — test helper."""

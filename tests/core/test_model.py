@@ -130,3 +130,32 @@ class TestCheckpoint:
         state = model.state_dict()
         model.memory.long[...] = 0.0
         assert not np.allclose(state["memory"]["long"], 0.0)
+
+    def test_state_dict_into_existing_buffer(self, model):
+        """``state_dict(out=...)`` refills an earlier snapshot's arrays
+        in place with exactly what a fresh snapshot holds."""
+        buffer = model.state_dict()
+        arrays = dict(state_leaves(buffer))
+        model.process_edge(0, 5, "click", 1.0)
+        assert model.state_dict(out=buffer) is buffer
+        fresh = dict(state_leaves(model.state_dict()))
+        for name, array in state_leaves(buffer):
+            assert array is arrays[name]
+            assert array.tobytes() == fresh[name].tobytes()
+        assert arrays.keys() == fresh.keys()
+
+    def test_state_dict_out_shape_mismatch(self, model):
+        buffer = model.state_dict()
+        buffer["memory"]["long"] = buffer["memory"]["long"][:1]
+        with pytest.raises(ValueError):
+            model.state_dict(out=buffer)
+
+
+def state_leaves(state, prefix=""):
+    """``(dotted name, array)`` for every leaf of a nested state dict."""
+    for key in sorted(state):
+        value = state[key]
+        if isinstance(value, dict):
+            yield from state_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value

@@ -100,6 +100,15 @@ class TestSnapshotReads:
         with pytest.raises(IndexError):
             store.snapshot().row(10)
 
+    def test_rows_raise_outside_the_store(self):
+        """``rows`` rejects ids ``row`` rejects — including -1, which a
+        block-aligned store once wrapped around to its last row."""
+        store, _ = make_store(n=8, block=4)
+        snap = store.snapshot()
+        for bad in ([-1], [0, 8], [3, -5]):
+            with pytest.raises(IndexError):
+                snap.rows(bad)
+
     def test_block_rows_ranges(self):
         store, _ = make_store(n=10, block=4)
         snap = store.snapshot()
@@ -294,3 +303,38 @@ class TestDecayedServing:
                 alpha=np.zeros(2),
                 alpha_slots=np.zeros(4, dtype=np.int64),
             )
+
+
+# ------------------------------------------------------------ row gathers
+
+#: unsorted, repeated ids spread over every block, plus an empty gather
+GATHER_IDS = ([7, 0, 9, 3, 3, 8, 1, 7, 7, 4, 2], [5], [9, 9, 0], [])
+
+
+def stacked_rows(snap, ids):
+    if not ids:
+        return np.empty((0, snap.dim), dtype=np.float64)
+    return np.stack([snap.row(i) for i in ids])
+
+
+class TestRowGather:
+    """``rows`` gathers once per touched block; the result must equal
+    one ``row`` call per id, bit for bit, on both snapshot kinds."""
+
+    def test_versioned_gather_equals_stacked_rows(self):
+        store, _ = make_store(n=10, block=3)
+        store.publish([4, 9], np.full((2, 4), 5.0, dtype=np.float64))
+        snap = store.snapshot()
+        for ids in GATHER_IDS:
+            assert snap.rows(ids).tobytes() == stacked_rows(snap, ids).tobytes()
+
+    def test_decayed_gather_equals_stacked_rows(self, small_dataset):
+        svc = make_service(small_dataset, store_block_size=3)
+        drain(svc, small_dataset)
+        snap = svc.store.snapshot()
+        assert isinstance(snap, DecayedSnapshot)
+        for ids in GATHER_IDS:
+            assert snap.rows(ids).tobytes() == stacked_rows(snap, ids).tobytes()
+        with pytest.raises(IndexError):
+            snap.rows([-1])
+        svc.close()

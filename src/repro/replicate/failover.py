@@ -58,7 +58,13 @@ from repro.replicate.config import ReplicationConfig
 from repro.replicate.follower import ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 from repro.resilience.checkpoint import _flatten
-from repro.resilience.faults import FAULT_KINDS, FaultPlan, _malformed_edge
+from repro.resilience.faults import (
+    FAULT_KINDS,
+    FaultPlan,
+    bank_tallies,
+    inject_event_fault,
+    register_fault_counters,
+)
 from repro.serve.service import RecommendationService, ServeConfig
 from repro.utils.timer import Timer
 
@@ -278,51 +284,6 @@ class FailoverDriver:
                 if os.path.isdir(directory):
                     shutil.rmtree(directory)
 
-    # ------------------------------------------------------------- injection
-
-    def _inject(
-        self,
-        service: RecommendationService,
-        kind: str,
-        payload: int,
-        template: StreamEdge,
-        ledger: Dict[str, int],
-    ) -> None:
-        """Offer one fault event to whichever node is currently writable."""
-        service.metrics.counter(f"faults.injected.{kind}").inc()
-        if kind == "malformed":
-            service.ingest(
-                _malformed_edge(template, payload, self.dataset.num_nodes)
-            )
-        elif kind == "late":
-            stale_t = (
-                service.queue.max_timestamp
-                - float(self.serve_config.late_tolerance or 0.0)
-                - 1.0
-                - float(payload)
-            )
-            service.ingest(template._replace(t=stale_t))
-        else:  # duplicate
-            if service.ingest(StreamEdge(*template)):
-                ledger["duplicates_accepted"] += 1
-
-    @staticmethod
-    def _register_fault_counters(service: RecommendationService) -> None:
-        for kind in FAULT_KINDS:
-            service.metrics.counter(f"faults.injected.{kind}")
-
-    @staticmethod
-    def _bank(service: RecommendationService, banked: Dict[str, float]) -> None:
-        """Fold a dying node's tallies into ``banked`` (ChaosReplayDriver's
-        cross-life accounting, verbatim semantics)."""
-        for category, count in service.queue.reason_counts.items():
-            banked[category] = banked.get(category, 0) + count
-        for kind in FAULT_KINDS:
-            name = f"faults.injected.{kind}"
-            banked[name] = (
-                banked.get(name, 0) + service.metrics.counter(name).value
-            )
-
     def _parity_users(self, service: RecommendationService) -> np.ndarray:
         users = service.users
         cap = self.max_parity_users
@@ -352,15 +313,17 @@ class FailoverDriver:
             config=config,
             train_config=self.train_config,
         )
-        self._register_fault_counters(service)
+        register_fault_counters(service)
         last_accepted: Optional[StreamEdge] = None
         for position, edge in enumerate(stream):
             for fault in plan.at(position):
                 if fault.kind == "crash" or last_accepted is None:
                     continue
-                self._inject(
-                    service, fault.kind, fault.payload, last_accepted, ledger
-                )
+                if (
+                    inject_event_fault(service, fault, last_accepted)
+                    and fault.kind == "duplicate"
+                ):
+                    ledger["duplicates_accepted"] += 1
             if service.ingest(edge):
                 last_accepted = edge
         service.flush()
@@ -391,7 +354,7 @@ class FailoverDriver:
             train_config=self.train_config,
             replication=self.replication,
         )
-        self._register_fault_counters(primary.service)
+        register_fault_counters(primary.service)
         follower = ReplicationFollower(
             self.dataset,
             self.state_dir,
@@ -421,7 +384,7 @@ class FailoverDriver:
                         # tallies, keep serving reads off the replica,
                         # then drain + promote
                         writable.metrics.counter("faults.injected.crash").inc()
-                        self._bank(writable, banked)
+                        bank_tallies(writable, banked)
                         primary.kill()
                         for _ in range(self.failover_probes):
                             user = int(users[probe_cursor % users.size])
@@ -431,15 +394,16 @@ class FailoverDriver:
                         follower.promote(self.replica_dir)
                         promotions += 1
                         writable = follower.service
-                        self._register_fault_counters(writable)
+                        register_fault_counters(writable)
                         continue
                     if last_accepted is None:
                         skipped[fault.kind] = skipped.get(fault.kind, 0) + 1
                         continue
-                    self._inject(
-                        writable, fault.kind, fault.payload, last_accepted,
-                        ledger,
-                    )
+                    if (
+                        inject_event_fault(writable, fault, last_accepted)
+                        and fault.kind == "duplicate"
+                    ):
+                        ledger["duplicates_accepted"] += 1
                 if writable.ingest(edge):
                     last_accepted = edge
                 if promotions == 0 and (position + 1) % self.poll_every == 0:

@@ -1,8 +1,10 @@
 """The follower role: bootstrap from a checkpoint, tail the WAL, serve.
 
 A :class:`ReplicationFollower` rebuilds the primary's learned state
-with exactly the machinery crash recovery trusts — newest checkpoint +
-WAL-prefix fold + deterministic replay — and then keeps replaying live:
+with exactly the code crash recovery runs —
+:func:`~repro.resilience.recovery.restore_service` (newest checkpoint +
+WAL-prefix fold) and :meth:`~repro.resilience.recovery.QueueLogState.apply`
+(deterministic replay) — and then keeps replaying live:
 each :meth:`poll` fetches newly shipped records through a
 :class:`~repro.resilience.wal.WalTailer` and applies them to the
 replica's own :class:`~repro.serve.store.VersionedEmbeddingStore` /
@@ -38,19 +40,17 @@ import shutil
 import threading
 import time
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.config import SUPAConfig
-from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
-from repro.core.model import SUPA
+from repro.core.inslearn import InsLearnConfig
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
-from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.recovery import fold_queue_log
-from repro.resilience.wal import WalRecord, WalTailer, iter_records, segment_paths
+from repro.resilience.recovery import QueueLogState, restore_service, resume_queue
+from repro.resilience.wal import WalRecord, WalTailer, segment_paths
 from repro.serve.service import RecommendationService, ServeConfig
 
 #: follower lifecycle states (the promote state machine, DESIGN.md §13)
@@ -60,7 +60,12 @@ PROMOTED = "promoted"
 
 
 class ReplicationError(RuntimeError):
-    """The shipped log contradicts the replica, or a protocol misuse."""
+    """A protocol misuse, or an inherited log behind the replica.
+
+    A shipped log or checkpoint that contradicts itself raises
+    :class:`~repro.resilience.recovery.RecoveryError` instead, exactly
+    as crash recovery does.
+    """
 
 
 class StaleReadError(RuntimeError):
@@ -123,16 +128,13 @@ class ReplicationFollower:
         )
         self.service: Optional[RecommendationService] = None
         self.tailer: Optional[WalTailer] = None
-        # Guards the replication position (applied seq, FIFO mirror,
-        # ledger tallies, heartbeat observations, lifecycle state) so
-        # lag probes and serving threads read a consistent view while
-        # the poll thread advances it.
+        # Guards the replication position (the queue-log fold: applied
+        # seq, FIFO mirror, ledger tallies; heartbeat observations,
+        # lifecycle state) so lag probes and serving threads read a
+        # consistent view while the poll thread advances it.
         self._lock = threading.Lock()
-        self._fifo: List[StreamEdge] = []
-        self._accepted_total = 0
-        self._watermark = float("-inf")
+        self._log = QueueLogState()
         self._state = BOOTSTRAPPING
-        self._last_seq_applied = 0
         self._last_hb_primary_t: Optional[float] = None
         self._last_hb_seen_at: Optional[float] = None
         self._heartbeats_seen = 0
@@ -143,62 +145,24 @@ class ReplicationFollower:
     def bootstrap(self) -> "ReplicationFollower":
         """Rebuild state from the newest shipped checkpoint + WAL prefix.
 
-        Uses the same fold/replay/cross-check discipline as
-        :func:`repro.resilience.recovery.recover`, then drains whatever
-        WAL suffix already exists and warms the read cache.  Returns
-        ``self`` for chaining.
+        Runs :func:`repro.resilience.recovery.restore_service`, the
+        restore :func:`~repro.resilience.recovery.recover` runs, so a
+        shipped log or checkpoint that contradicts itself raises
+        :class:`~repro.resilience.recovery.RecoveryError`.  Then drains
+        whatever WAL suffix already exists and warms the read cache.
+        Returns ``self`` for chaining.
         """
         if self.service is not None:
             raise ReplicationError("follower is already bootstrapped")
         shipped_wal = wal_path(self.state_dir)
-        manager = CheckpointManager(
-            checkpoint_dir(self.state_dir),
-            retain=self._serve_config.checkpoint_retain,
-        )
-        ckpt = manager.latest()
-        base_seq = ckpt.seq if ckpt is not None else 0
-        prefix = fold_queue_log(iter_records(shipped_wal), upto_seq=base_seq)
-        if ckpt is not None:
-            if list(ckpt.residue) != prefix.fifo:
-                raise ReplicationError(
-                    "shipped checkpoint residue disagrees with the WAL "
-                    f"prefix ({len(ckpt.residue)} vs {len(prefix.fifo)} "
-                    "buffered events)"
-                )
-            if ckpt.num_nodes and ckpt.num_nodes != self.dataset.num_nodes:
-                raise ReplicationError(
-                    f"shipped checkpoint covers {ckpt.num_nodes} nodes but "
-                    f"the dataset has {self.dataset.num_nodes}"
-                )
-
-        model = SUPA.for_dataset(self.dataset, self._model_config)
-        for edge in prefix.trained:
-            model.observe(edge.u, edge.v, edge.edge_type, edge.t)
-        if ckpt is not None:
-            model.load_state_dict(ckpt.model_state)
-            model.rng.bit_generator.state = ckpt.model_rng_state
-        train_config = self._train_config or InsLearnConfig(
-            batch_size=self._serve_config.batch_size,
-            max_iterations=4,
-            validation_interval=2,
-            validation_size=25,
-            patience=1,
-        )
-        trainer = InsLearnTrainer(model, train_config)
-        if ckpt is not None:
-            trainer.set_rng_state(ckpt.trainer_rng_state)
-
-        service = RecommendationService(
+        service, log = restore_service(
             self.dataset,
-            model=model,
-            trainer=trainer,
-            config=self._serve_config,
-            trace=self._trace,
-            initial_clock=ckpt.clock if ckpt is not None else 0.0,
-        )
-        service.restore_runtime(
-            updates_applied=ckpt.updates_applied if ckpt is not None else 0,
-            max_timestamp=prefix.watermark,
+            self._serve_config,
+            shipped_wal,
+            checkpoint_dir(self.state_dir),
+            self._model_config,
+            self._train_config,
+            self._trace,
         )
         for name in (
             "replica.records_applied",
@@ -215,12 +179,9 @@ class ReplicationFollower:
             service.metrics.gauge(name)
         self.service = service
         with self._lock:
-            self._fifo = list(prefix.fifo)
-            self._accepted_total = prefix.accepted
-            self._watermark = prefix.watermark
-            self._last_seq_applied = base_seq
+            self._log = log
             self._state = TAILING
-        self.tailer = WalTailer(shipped_wal, from_seq=base_seq + 1)
+        self.tailer = WalTailer(shipped_wal, from_seq=log.last_seq + 1)
         self.poll()  # drain the suffix that already exists on disk
         service.warm_cache()
         return self
@@ -246,51 +207,23 @@ class ReplicationFollower:
         return len(records)
 
     def _apply(self, record: WalRecord) -> None:
-        """Replay one shipped record into the replica's state."""
-        if record.kind == "heartbeat":
-            now = self._clock()
-            with self._lock:
+        """Replay one shipped record into the replica's state.
+
+        The fold advances under the lock; a dispatched chunk retrains
+        outside it.  A record that contradicts the mirrored queue raises
+        :class:`~repro.resilience.recovery.RecoveryError`.
+        """
+        now = self._clock() if record.kind == "heartbeat" else None
+        with self._lock:
+            chunk = self._log.apply(record)
+            if now is not None:
                 self._heartbeats_seen += 1
                 self._last_hb_primary_t = record.t
                 self._last_hb_seen_at = now
-                self._last_seq_applied = record.seq
-            return
-        if record.kind in ("shed", "throttle"):
-            # Admission-ledger records: the primary denied the event, so
-            # there is nothing to replay — advance the position only.
-            with self._lock:
-                self._last_seq_applied = record.seq
-            return
-        if record.kind == "accept":
-            with self._lock:
-                self._fifo.append(record.edge)
-                self._accepted_total += 1
-                self._watermark = max(self._watermark, record.edge.t)
-                self._last_seq_applied = record.seq
-            return
-        if record.kind == "evict":
-            with self._lock:
-                if not self._fifo or self._fifo[0] != record.edge:
-                    raise ReplicationError(
-                        f"evict record #{record.seq} does not match the "
-                        "replica's queue head"
-                    )
-                self._fifo.pop(0)
-                self._last_seq_applied = record.seq
-            return
-        # batch: hand the chunk to the deterministic replay machinery
-        with self._lock:
-            if record.count > len(self._fifo):
-                raise ReplicationError(
-                    f"batch record #{record.seq} dispatches {record.count} "
-                    f"events but the replica buffers {len(self._fifo)}"
-                )
-            chunk = self._fifo[: record.count]
-            del self._fifo[: record.count]
-            self._last_seq_applied = record.seq
-        with self.service.resilience_suspended():
-            self.service.apply_recovered_batch(EdgeStream(chunk))
-        self.service.metrics.counter("replica.batches_applied").inc()
+        if chunk is not None:
+            with self.service.resilience_suspended():
+                self.service.apply_recovered_batch(EdgeStream(chunk))
+            self.service.metrics.counter("replica.batches_applied").inc()
 
     def _publish_lag(self, applied: int, bytes_before: int) -> None:
         """Refresh the staleness observables after a poll."""
@@ -394,21 +327,13 @@ class ReplicationFollower:
             checkpoint_every=self.replication.checkpoint_every,
         )
         with self._lock:
-            fifo = list(self._fifo)
-            accepted = self._accepted_total
-            watermark = self._watermark
-            applied_seq = self._last_seq_applied
-        if service.wal.last_seq != applied_seq:
+            log = self._log
+        if service.wal.last_seq != log.last_seq:
             raise ReplicationError(
                 f"inherited WAL ends at seq {service.wal.last_seq} but the "
-                f"replica applied through seq {applied_seq}"
+                f"replica applied through seq {log.last_seq}"
             )
-        if fifo:
-            service.queue.preload(fifo)
-        service.queue.restore_accounting(
-            accepted=accepted, max_timestamp=watermark
-        )
-        service.metrics.counter("ingest.accepted").set(service.queue.accepted)
+        resume_queue(service, log)
         service.set_writable()
         with self._lock:
             self._state = PROMOTED
@@ -447,19 +372,19 @@ class ReplicationFollower:
     def applied_seq(self) -> int:
         """Newest shipped sequence number applied to the replica."""
         with self._lock:
-            return self._last_seq_applied
+            return self._log.last_seq
 
     @property
     def accepted_total(self) -> int:
         """Accept records applied so far (the inherited ledger)."""
         with self._lock:
-            return self._accepted_total
+            return self._log.accepted
 
     @property
     def residue(self) -> int:
         """Accepted-but-untrained events mirrored from the primary queue."""
         with self._lock:
-            return len(self._fifo)
+            return len(self._log.fifo)
 
     @property
     def heartbeats_seen(self) -> int:
@@ -475,7 +400,7 @@ class ReplicationFollower:
     def lag_from(self, primary_seq: int) -> int:
         """Records behind a known primary position (external measure)."""
         with self._lock:
-            return max(0, int(primary_seq) - self._last_seq_applied)
+            return max(0, int(primary_seq) - self._log.last_seq)
 
     def close(self) -> None:
         """Release the replica's own WAL handle, if promotion opened one."""

@@ -191,6 +191,50 @@ def _malformed_edge(template: StreamEdge, variant: int, num_nodes: int) -> Strea
     return template._replace(t=float("nan"))
 
 
+def inject_event_fault(
+    service: RecommendationService, fault: Fault, template: StreamEdge
+) -> bool:
+    """Offer one ``malformed``/``late``/``duplicate`` fault event.
+
+    Counts it on ``faults.injected.<kind>`` and derives the event from
+    ``template`` (the last accepted event); returns whether the service
+    accepted it.  A late event sits one second plus ``payload`` behind
+    the queue's watermark minus its ``late_tolerance``.
+    """
+    service.metrics.counter(f"faults.injected.{fault.kind}").inc()
+    if fault.kind == "malformed":
+        event = _malformed_edge(template, fault.payload, service.dataset.num_nodes)
+    elif fault.kind == "late":
+        event = template._replace(
+            t=service.queue.max_timestamp
+            - float(service.config.late_tolerance or 0.0)
+            - 1.0
+            - float(fault.payload)
+        )
+    else:  # duplicate: an exact re-send
+        event = StreamEdge(*template)
+    return service.ingest(event)
+
+
+def register_fault_counters(service: RecommendationService) -> None:
+    """Pre-register every ``faults.injected.<kind>`` counter at zero."""
+    for kind in FAULT_KINDS:
+        service.metrics.counter(f"faults.injected.{kind}")
+
+
+def bank_tallies(service: RecommendationService, banked: Dict[str, float]) -> None:
+    """Fold a dying service's externally-visible tallies into ``banked``.
+
+    Deadletter buckets and fault counters die with the process, so
+    reconciliation that spans process lives sums them here first.
+    """
+    for category, count in service.queue.reason_counts.items():
+        banked[category] = banked.get(category, 0) + count
+    for kind in FAULT_KINDS:
+        name = f"faults.injected.{kind}"
+        banked[name] = banked.get(name, 0) + service.metrics.counter(name).value
+
+
 @dataclass
 class ChaosReport:
     """Everything one chaos run injected, observed and reconciled."""
@@ -368,24 +412,8 @@ class ChaosReplayDriver(StreamReplayDriver):
 
     def build_service(self) -> RecommendationService:
         service = super().build_service()
-        self._register_fault_counters(service)
+        register_fault_counters(service)
         return service
-
-    @staticmethod
-    def _register_fault_counters(service: RecommendationService) -> None:
-        for kind in FAULT_KINDS:
-            service.metrics.counter(f"faults.injected.{kind}")
-
-    @staticmethod
-    def _bank(service: RecommendationService, banked: Dict[str, float]) -> None:
-        """Fold a dying service's externally-visible tallies into ``banked``
-        (its metrics die with it; reconciliation must span process lives)."""
-        for category, count in service.queue.reason_counts.items():
-            banked[category] = banked.get(category, 0) + count
-        for kind in FAULT_KINDS:
-            name = f"faults.injected.{kind}"
-            banked[name] = banked.get(name, 0) + service.metrics.counter(name).value
-        service.close()
 
     def run(self) -> ChaosReport:  # type: ignore[override]
         """Execute the plan over a full replay; returns the reconciliation."""
@@ -404,7 +432,6 @@ class ChaosReplayDriver(StreamReplayDriver):
         skipped: Dict[str, int] = {}
         probe_cursor = 0
         last_accepted: Optional[StreamEdge] = None
-        tolerance = float(self.serve_config.late_tolerance or 0.0)
 
         timer = Timer()
         with timer:
@@ -413,7 +440,8 @@ class ChaosReplayDriver(StreamReplayDriver):
                     kind = fault.kind
                     if kind == "crash":
                         service.metrics.counter("faults.injected.crash").inc()
-                        self._bank(service, banked)
+                        bank_tallies(service, banked)
+                        service.close()
                         result = recover(
                             self.dataset,
                             serve_config=self.serve_config,
@@ -422,7 +450,7 @@ class ChaosReplayDriver(StreamReplayDriver):
                             trace=self.trace,
                         )
                         service = result.service
-                        self._register_fault_counters(service)
+                        register_fault_counters(service)
                         recoveries += 1
                         replayed_total += result.replayed_events
                         continue
@@ -432,27 +460,7 @@ class ChaosReplayDriver(StreamReplayDriver):
                         weight = fault.payload if kind == "burst" else 1
                         skipped[kind] = skipped.get(kind, 0) + weight
                         continue
-                    if kind == "malformed":
-                        service.metrics.counter("faults.injected.malformed").inc()
-                        service.ingest(
-                            _malformed_edge(
-                                last_accepted, fault.payload, self.dataset.num_nodes
-                            )
-                        )
-                    elif kind == "late":
-                        service.metrics.counter("faults.injected.late").inc()
-                        stale_t = (
-                            service.queue.max_timestamp
-                            - tolerance
-                            - 1.0
-                            - float(fault.payload)
-                        )
-                        service.ingest(last_accepted._replace(t=stale_t))
-                    elif kind == "duplicate":
-                        service.metrics.counter("faults.injected.duplicate").inc()
-                        if service.ingest(StreamEdge(*last_accepted)):
-                            duplicates_accepted += 1
-                    elif kind == "burst":
+                    if kind == "burst":
                         service.queue.pause()
                         for _ in range(fault.payload):
                             service.metrics.counter("faults.injected.burst").inc()
@@ -461,6 +469,11 @@ class ChaosReplayDriver(StreamReplayDriver):
                             else:
                                 burst_dropped += 1
                         service.queue.resume()
+                    elif (
+                        inject_event_fault(service, fault, last_accepted)
+                        and kind == "duplicate"
+                    ):
+                        duplicates_accepted += 1
                 if service.ingest(edge):
                     last_accepted = edge
                 if (position + 1) % self.probe_every == 0:

@@ -93,9 +93,8 @@ class WalRecord:
 
 @dataclass
 class WalScan:
-    """The valid prefix of a log plus what was dropped after it."""
+    """Where a log's valid prefix ends, plus what was dropped after it."""
 
-    records: List[WalRecord] = field(default_factory=list)
     #: byte offset of the valid prefix *within* ``valid_path``
     valid_bytes: int = 0
     #: records after the valid prefix (torn tail / corruption), dropped
@@ -217,11 +216,11 @@ def _count_lines(data: bytes) -> int:
 def iter_records(path: str, from_seq: int = 1) -> Iterator[WalRecord]:
     """Stream the valid record prefix of ``path`` from ``from_seq`` on.
 
-    Unlike :func:`scan` this never materialises the log: records are
-    decoded one line at a time across all segments, and segments whose
-    name proves they end before ``from_seq`` are skipped without being
-    read.  Iteration ends at the first torn/invalid/out-of-sequence
-    line — the same valid-prefix contract as :func:`scan`.
+    Records are decoded one line at a time across all segments, never
+    materialised as a whole log, and segments whose name proves they
+    end before ``from_seq`` are skipped without being read.  Iteration
+    ends at the first torn/invalid/out-of-sequence line — the same
+    valid-prefix contract as :func:`scan`.
     """
     from_seq = max(1, int(from_seq))
     segments = segment_paths(path)
@@ -251,18 +250,14 @@ def iter_records(path: str, from_seq: int = 1) -> Iterator[WalRecord]:
                     yield record
 
 
-def scan(path: str, collect_records: bool = True) -> WalScan:
-    """Read the valid record prefix of ``path`` (missing file: empty).
+def scan(path: str) -> WalScan:
+    """Validate the record prefix of ``path`` (missing file: empty).
 
     Scanning stops at the first unterminated, unparsable, checksum-
     failing or out-of-sequence line; everything from there on counts as
     dropped.  This is the torn-tail tolerance contract: a crash mid-
     append loses at most the record being written, never the log.
-
-    With ``collect_records=False`` the log is still fully validated
-    (``last_seq``/``valid_bytes``/``dropped_records`` are exact) but the
-    record list stays empty — use :func:`iter_records` to stream the
-    contents without holding them all in memory.
+    Records are not kept; :func:`iter_records` streams the same prefix.
     """
     result = WalScan(valid_path=path)
     segments = segment_paths(path)
@@ -296,8 +291,6 @@ def scan(path: str, collect_records: bool = True) -> WalScan:
                     result.dropped_records += _count_lines(fh.read())
                     stopped = True
                     break
-                if collect_records:
-                    result.records.append(record)
                 result.last_seq = record.seq
                 expected_seq += 1
                 result.valid_bytes = fh.tell()
@@ -370,7 +363,7 @@ class WriteAheadLog:
         self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
-        recovered = scan(path, collect_records=False)
+        recovered = scan(path)
         self.last_seq = recovered.last_seq
         self.torn_records_dropped = recovered.dropped_records
         if (

@@ -224,10 +224,11 @@ class RecommendationService:
     ----------
     dataset:
         Fixes the node universe, schema and candidate catalogue.
-    model / trainer:
-        A :class:`SUPA` model and its :class:`InsLearnTrainer`; fresh
-        ones are built when omitted (``train_config`` then tunes the
-        default trainer).
+    model:
+        A :class:`SUPA` model; a fresh one is built when omitted.
+    train_config:
+        Tunes the service's :class:`InsLearnTrainer`; when omitted, the
+        trainer runs a default config sized to ``config.batch_size``.
     config:
         Serving knobs; see :class:`ServeConfig`.
     trace:
@@ -242,7 +243,6 @@ class RecommendationService:
         self,
         dataset: Dataset,
         model: Optional[SUPA] = None,
-        trainer: Optional[InsLearnTrainer] = None,
         config: Optional[ServeConfig] = None,
         train_config: Optional[InsLearnConfig] = None,
         trace: Union[bool, Tracer, NullTracer] = False,
@@ -251,22 +251,17 @@ class RecommendationService:
         self.config = config or ServeConfig()
         self.dataset = dataset
         self.model = model if model is not None else SUPA.for_dataset(dataset)
-        if trainer is not None:
-            self.trainer = trainer
-        else:
-            self.trainer = InsLearnTrainer(
-                self.model,
-                train_config
-                or InsLearnConfig(
-                    batch_size=self.config.batch_size,
-                    max_iterations=4,
-                    validation_interval=2,
-                    validation_size=25,
-                    patience=1,
-                ),
-            )
-        if self.trainer.model is not self.model:
-            raise ValueError("trainer is bound to a different model instance")
+        self.trainer = InsLearnTrainer(
+            self.model,
+            train_config
+            or InsLearnConfig(
+                batch_size=self.config.batch_size,
+                max_iterations=4,
+                validation_interval=2,
+                validation_size=25,
+                patience=1,
+            ),
+        )
 
         schema = dataset.schema
         if self.config.edge_type is not None:
@@ -981,17 +976,18 @@ class RecommendationService:
         )
         return self.checkpoints.save(ckpt)
 
-    def restore_runtime(self, *, updates_applied: int, max_timestamp: float) -> None:
-        """Adopt progress restored from a checkpoint.
+    def restore_runtime(self, *, updates_applied: int) -> None:
+        """Adopt the update count restored from a checkpoint.
 
-        Called by :func:`repro.resilience.recovery.recover` before
-        replaying the WAL suffix so ``batch_index`` and the late-event
-        watermark continue where the crashed process stopped.
+        Called by :func:`repro.resilience.recovery.restore_service`
+        before any WAL-suffix replay so ``batch_index`` continues where
+        the checkpointed process stopped.  The queue's ledger and
+        watermark follow later, through
+        :func:`repro.resilience.recovery.resume_queue`.
         """
         with self._state_lock:
             self._updates_applied = int(updates_applied)
         self.metrics.counter("updates.applied").set(int(updates_applied))
-        self.queue.restore_accounting(max_timestamp=float(max_timestamp))
 
     def apply_recovered_batch(self, batch: EdgeStream) -> None:
         """Re-run one journaled micro-batch during WAL replay."""

@@ -15,7 +15,7 @@ from repro.replicate.follower import (
     StaleReadError,
 )
 from repro.replicate.primary import ReplicationPrimary
-from repro.resilience.wal import scan
+from repro.resilience.wal import iter_records
 from repro.serve.service import ReadOnlyServiceError, ServeConfig
 
 
@@ -95,7 +95,7 @@ class TestPrimary:
     def test_heartbeat_announced_at_startup(self, dataset, tmp_path):
         primary = make_primary(dataset, tmp_path, clock=lambda: 42.0)
         primary.close()
-        records = scan(wal_path(str(tmp_path / "primary"))).records
+        records = list(iter_records(wal_path(str(tmp_path / "primary"))))
         assert records[0].kind == "heartbeat"
         assert records[0].t == 42.0
 
@@ -104,7 +104,7 @@ class TestPrimary:
         for edge in list(dataset.stream)[:16]:
             primary.ingest(edge)
         primary.close()
-        kinds = [r.kind for r in scan(wal_path(str(tmp_path / "primary"))).records]
+        kinds = [r.kind for r in iter_records(wal_path(str(tmp_path / "primary")))]
         # startup heartbeat + one per 4 offered events
         assert kinds.count("heartbeat") >= 4
         assert int(primary.metrics.counter("replica.heartbeats").value) >= 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.zoo import load_dataset
-from repro.resilience.wal import scan
+from repro.resilience.wal import iter_records
 from repro.serve.ingest import BackpressureError
 from repro.serve.service import RecommendationService, ServeConfig
 
@@ -32,7 +32,7 @@ class TestWalWiring:
         for edge in list(dataset.stream)[:40]:
             service.ingest(edge)
         service.close()
-        records = scan(service.config.wal_path).records
+        records = list(iter_records(service.config.wal_path))
         kinds = [r.kind for r in records]
         assert kinds.count("accept") == 40
         assert kinds.count("batch") == 2  # 40 events / S=16
@@ -49,7 +49,7 @@ class TestWalWiring:
         for edge in list(dataset.stream)[:20]:
             service.ingest(edge)
         service.close()
-        kinds = [r.kind for r in scan(service.config.wal_path).records]
+        kinds = [r.kind for r in iter_records(service.config.wal_path)]
         assert kinds.count("evict") == 4
         assert kinds.count("accept") == 20
 

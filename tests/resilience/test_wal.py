@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.graph.streams import StreamEdge
-from repro.resilience.wal import WalRecord, WriteAheadLog, _encode, scan
+from repro.resilience.wal import WalRecord, WriteAheadLog, _encode, iter_records, scan
 
 
 def edge(i, t=None):
@@ -25,28 +25,29 @@ class TestRoundtrip:
             wal.append_batch(2)
             wal.append_evict(edge(1, t=1.5))
         result = scan(wal_path)
+        records = list(iter_records(wal_path))
         assert result.dropped_records == 0
-        assert [r.kind for r in result.records] == [
+        assert [r.kind for r in records] == [
             "accept",
             "accept",
             "batch",
             "evict",
         ]
-        assert [r.seq for r in result.records] == [1, 2, 3, 4]
-        assert result.records[0].edge == edge(1, t=1.5)
-        assert result.records[2].count == 2
+        assert [r.seq for r in records] == [1, 2, 3, 4]
+        assert records[0].edge == edge(1, t=1.5)
+        assert records[2].count == 2
         assert result.last_seq == 4
 
     def test_timestamps_roundtrip_bit_exactly(self, wal_path):
         awkward = 0.1 + 0.2  # 0.30000000000000004
         with WriteAheadLog(wal_path) as wal:
             wal.append_accept(edge(1, t=awkward))
-        (record,) = scan(wal_path).records
+        (record,) = list(iter_records(wal_path))
         assert record.edge.t == awkward  # exact, not approximate
 
     def test_missing_file_scans_empty(self, tmp_path):
         result = scan(str(tmp_path / "nope.wal"))
-        assert result.records == [] and result.last_seq == 0
+        assert result.last_seq == 0 and result.dropped_records == 0
 
     def test_batch_count_must_be_positive(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
@@ -76,7 +77,7 @@ class TestTornTail:
         wal.append_accept(edge(2))
         wal.close()
         result = scan(wal_path)
-        assert [r.seq for r in result.records] == [1, 2]
+        assert [r.seq for r in iter_records(wal_path)] == [1, 2]
         assert result.dropped_records == 0  # the repair was persisted
 
     def test_crc_corruption_ends_the_valid_prefix(self, wal_path):

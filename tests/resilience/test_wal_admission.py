@@ -16,7 +16,6 @@ from repro.resilience.wal import (
     WriteAheadLog,
     decision_ledger,
     iter_records,
-    scan,
 )
 from repro.serve.admission import AdmissionConfig
 from repro.serve.service import RecommendationService, ServeConfig
@@ -36,7 +35,7 @@ class TestLedgerRecords:
         with WriteAheadLog(wal_path) as wal:
             wal.append_shed(edge(1), "shed: reject")
             wal.append_throttle(edge(2), "throttle: user rate")
-        records = scan(wal_path).records
+        records = list(iter_records(wal_path))
         assert [r.kind for r in records] == ["shed", "throttle"]
         assert records[0].reason == "shed: reject"
         assert records[0].edge == edge(1)
@@ -56,7 +55,7 @@ class TestLedgerRecords:
             wal.append_accept(edge(2))
             wal.append_evict(edge(1))
             wal.append_evict(edge(2), reason="shed: drop_head")
-        records = scan(wal_path).records
+        records = list(iter_records(wal_path))
         assert records[2].reason == ""
         assert records[3].reason == "shed: drop_head"
 

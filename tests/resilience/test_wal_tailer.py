@@ -47,7 +47,7 @@ class TestSegments:
             for i in range(5):
                 wal.append_accept(edge(i))
         result = scan(wal_path)
-        assert [r.seq for r in result.records] == [1, 2, 3, 4, 5]
+        assert [r.seq for r in iter_records(wal_path)] == [1, 2, 3, 4, 5]
         assert result.last_seq == 5
         assert result.dropped_records == 0
 
@@ -90,7 +90,7 @@ class TestHeartbeat:
         with WriteAheadLog(wal_path) as wal:
             wal.append_accept(edge(1))
             wal.append_heartbeat(awkward)
-        records = scan(wal_path).records
+        records = list(iter_records(wal_path))
         assert [r.kind for r in records] == ["accept", "heartbeat"]
         assert records[1].t == awkward  # exact, not approximate
         assert records[1].edge is None
@@ -111,12 +111,6 @@ class TestHeartbeat:
 
 
 class TestIterRecords:
-    def test_streams_the_same_prefix_as_scan(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            for i in range(6):
-                wal.append_accept(edge(i))
-        assert list(iter_records(wal_path)) == scan(wal_path).records
-
     def test_from_seq_skips_earlier_segments(self, wal_path):
         with WriteAheadLog(wal_path, segment_bytes=1) as wal:
             for i in range(6):

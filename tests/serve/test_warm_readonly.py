@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.streams import StreamEdge
-from repro.resilience.wal import scan
+from repro.resilience.wal import iter_records
 from repro.serve.service import (
     ReadOnlyServiceError,
     RecommendationService,
@@ -86,7 +86,7 @@ class TestAttachDurability:
         )
         svc.ingest(edges[1])
         svc.close()
-        records = scan(wal_file).records
+        records = list(iter_records(wal_file))
         assert [r.kind for r in records] == ["accept"]
         assert records[0].edge == edges[1]
         assert svc.checkpoints is not None
